@@ -11,13 +11,9 @@
 //!   definite systems (the ADMM solver's cached factorization).
 //! * [`block_tridiag`] — block-tridiagonal Cholesky for the
 //!   multi-period KKT structure (`O(H·N³)` instead of `O((HN)³)`).
-//! * [`ldlt`] — LDLᵀ factorization for symmetric *quasi-definite*
-//!   systems (KKT matrices with a negative-definite lower-right block).
 //! * [`qr`] — Householder QR, the numerically robust path for
 //!   least-squares spline fitting.
 //! * [`mod@lstsq`] — linear least squares built on QR.
-//! * [`tridiag`] — Thomas algorithm for tridiagonal systems (natural
-//!   cubic spline second-derivative solve).
 //! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy…).
 //!
 //! Everything is `f64`, deterministic, and allocation-conscious: the
@@ -33,22 +29,18 @@
 
 pub mod block_tridiag;
 pub mod cholesky;
-pub mod ldlt;
 pub mod lstsq;
 pub mod matrix;
 pub mod qr;
 pub mod sparse;
-pub mod tridiag;
 pub mod vector;
 
 pub use block_tridiag::BlockTridiagCholesky;
 pub use cholesky::Cholesky;
-pub use ldlt::Ldlt;
 pub use lstsq::lstsq;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use sparse::CsrMatrix;
-pub use tridiag::solve_tridiagonal;
 
 /// Errors reported by factorizations and solvers in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,8 +22,9 @@ pub struct LintConfig {
     /// Per-request hot-path modules: string-keyed `.count(…)` /
     /// `.observe(…)` sink calls are banned here even with `names::`
     /// constants — the name lookup costs a map probe per request, so
-    /// these modules must resolve a `CounterHandle`/`HistogramHandle`
-    /// once and increment through it (ISSUE 5).
+    /// these modules resolve a `CounterHandle` once and increment
+    /// through it, and keep per-request samples in a local histogram
+    /// published once per run with `merge_histogram`.
     pub hot_paths: Vec<String>,
     /// Crates whose profiling spans (`prof::scope!`, `prof_scope!`,
     /// `ScopeGuard::enter`) must be named through `telemetry::names`
@@ -112,7 +113,7 @@ impl LintConfig {
             telemetry_crate: "telemetry".to_string(),
             hot_paths: vec![
                 // The per-arrival loop: one served/killed counter tick
-                // and one latency observation per simulated request.
+                // per simulated request.
                 "sim::runner".to_string(),
                 // Event queue: one counter tick per schedule and pop.
                 "sim::engine".to_string(),

@@ -63,7 +63,7 @@ pub const RULES: [RuleInfo; 13] = [
     },
     RuleInfo {
         id: "telemetry-name-constants",
-        summary: "metric names come from telemetry::names constants, not inline string literals; hot-path modules use interned Counter/Histogram handles instead of string-keyed count/observe",
+        summary: "metric names come from telemetry::names constants, not inline string literals; hot-path modules use interned CounterHandles instead of string-keyed count/observe",
         allowlistable: true,
     },
     RuleInfo {
@@ -201,13 +201,14 @@ const RNG_IDENTS: [&str; 5] = [
 /// a pure function of (seed, stream, counter) so shard count cannot
 /// change the byte output (ISSUE 10).
 const STATEFUL_RNG_IDENTS: [&str; 1] = ["ChaCha8Rng"];
-const TELEMETRY_METHODS: [&str; 8] = [
+const TELEMETRY_METHODS: [&str; 9] = [
     "count",
     "counter",
     "counter_add",
     "gauge",
     "gauge_set",
     "observe",
+    "merge_histogram",
     "histogram",
     "time",
 ];
@@ -388,9 +389,10 @@ fn rule_telemetry_names(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Findi
         // Hot-path extension: inside registered per-request modules,
         // even a `names::` constant is too slow — a string-keyed
         // `.count(name, δ)` / `.observe(name, v)` pays a map probe per
-        // request. Those modules resolve a handle once instead.
+        // request. Those modules resolve a counter handle once instead
+        // and publish per-request samples as one histogram merge.
         // String-keyed sink calls are exactly the two-or-more-argument
-        // forms; one-argument `handle.observe(v)` and zero-argument
+        // forms; one-argument `predictor.observe(v)` and zero-argument
         // iterator `.count()` never have a top-level comma.
         if !matches!(file.text(i), "count" | "observe") {
             continue;
@@ -409,8 +411,9 @@ fn rule_telemetry_names(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Findi
                 line: t.line,
                 message: format!(
                     "string-keyed `.{}(…)` in hot-path module `{}`: resolve a \
-                     CounterHandle/HistogramHandle once (sink.counter_handle / \
-                     sink.histogram_handle) and use it in the per-request loop",
+                     CounterHandle once (sink.counter_handle) for per-request \
+                     counts; keep per-request samples in a local histogram and \
+                     publish it once (sink.merge_histogram)",
                     file.text(i),
                     file.module_path
                 ),
@@ -1154,11 +1157,16 @@ mod tests {
     fn inline_metric_names_flagged() {
         let r = lint_one(
             "crates/app/src/lib.rs",
-            "fn f(s: &Sink) { s.count(\"my_total\", 1); s.observe(\"lat\", 0.5); }\n",
+            "fn f(s: &Sink) { s.count(\"my_total\", 1); s.observe(\"lat\", 0.5);\n\
+             \x20   s.merge_histogram(\"lat\", &h); }\n",
         );
         assert_eq!(
             rules_of(&r),
-            ["telemetry-name-constants", "telemetry-name-constants"]
+            [
+                "telemetry-name-constants",
+                "telemetry-name-constants",
+                "telemetry-name-constants"
+            ]
         );
     }
 
@@ -1187,12 +1195,13 @@ mod tests {
     }
 
     #[test]
-    fn handle_calls_and_iterator_count_are_fine_in_hot_paths() {
+    fn handles_merges_and_iterator_count_are_fine_in_hot_paths() {
         let r = lint_one(
             "crates/app/src/hot.rs",
-            "fn f(h: &CounterHandle, g: &HistogramHandle, v: &[u32]) {\n\
-             \x20   h.inc(); g.observe(0.5); let n = v.iter().count();\n\
-             \x20   let m = v.iter().filter(|x| f(**x, 0)).count();\n}\n",
+            "fn f(s: &Sink, h: &CounterHandle, g: &mut StreamingHistogram, v: &[u32]) {\n\
+             \x20   h.inc(); g.record(0.5); let n = v.iter().count();\n\
+             \x20   let m = v.iter().filter(|x| f(**x, 0)).count();\n\
+             \x20   s.merge_histogram(names::LAT, g);\n}\n",
         );
         assert!(r.is_clean(), "{:?}", r.findings);
     }

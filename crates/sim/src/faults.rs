@@ -661,7 +661,6 @@ impl ChaosScenario {
                             lb.complete(backend, None);
                             checker.on_served();
                             sink.count(names::REQUESTS_SERVED_TOTAL, 1);
-                            sink.observe(names::REQUEST_LATENCY_SECONDS, now - arrived);
                         }
                     }
                 }
@@ -816,6 +815,8 @@ impl ChaosScenario {
 
         checker.check_drained();
         let (served, dropped) = recorder.totals();
+        let overall = recorder.overall_histogram();
+        sink.merge_histogram(names::REQUEST_LATENCY_SECONDS, &overall);
         ChaosReport {
             scenario: self.name.clone(),
             seed: self.seed,
@@ -823,9 +824,9 @@ impl ChaosScenario {
             served,
             dropped,
             drop_fraction: recorder.drop_fraction(),
-            p50: recorder.overall_percentile(50.0),
-            p90: recorder.overall_percentile(90.0),
-            p99: recorder.overall_percentile(99.0),
+            p50: overall.percentile(50.0),
+            p90: overall.percentile(90.0),
+            p99: overall.percentile(99.0),
             migrated_sessions: migrated,
             lost_sessions: lost,
             admission_rejections: lb.stats().admission_rejections,
@@ -1150,6 +1151,39 @@ mod tests {
             sink.counter("spotweb_lb_admission_rejections_total"),
             "report and metrics registry must agree"
         );
+    }
+
+    #[test]
+    fn chaos_latency_histogram_is_published_from_the_recorder() {
+        // One publish at the end of the run: the series holds exactly
+        // the served requests, and every figure the report derives
+        // from the recorder's overall histogram reads back bit-equal.
+        let sink = TelemetrySink::enabled();
+        let mut scenario = small(FaultPlan::new().at(
+            60.0,
+            FaultKind::CorrelatedRevocation {
+                markets: vec![1],
+                warning_secs: None,
+            },
+        ));
+        scenario.telemetry = sink.clone();
+        let report = scenario.run();
+        let h = sink
+            .with_metrics(|m| m.histogram(names::REQUEST_LATENCY_SECONDS).cloned())
+            .flatten()
+            .expect("latency histogram published");
+        assert!(report.served > 0);
+        assert_eq!(h.count(), report.served as u64);
+        assert_eq!(h.count(), sink.counter(names::REQUESTS_SERVED_TOTAL));
+        for (p, want) in [(50.0, report.p50), (90.0, report.p90), (99.0, report.p99)] {
+            assert_eq!(h.percentile(p).to_bits(), want.to_bits(), "p{p}");
+        }
+        let filled = report.buckets.iter().filter(|b| b.count > 0);
+        let sum: f64 = filled.clone().map(|b| b.mean * b.count as f64).sum();
+        assert!((h.sum() - sum).abs() <= 1e-12 * sum, "{} vs {sum}", h.sum());
+        let min = filled.clone().map(|b| b.min).fold(f64::INFINITY, f64::min);
+        let max = filled.map(|b| b.max).fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!((h.min(), h.max()), (min, max));
     }
 
     #[test]

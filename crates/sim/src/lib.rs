@@ -38,8 +38,8 @@
 //!   force the arrival loop to stay serial.
 //! * [`shard`] — sharded execution of a single run
 //!   ([`runner::RunnerConfig::shards`]): per-interval arrival
-//!   generation fans out across cores and latency metrics fold in
-//!   window order, with reports byte-identical at any shard count;
+//!   generation fans out across cores while the control loop stays
+//!   on one thread, with reports byte-identical at any shard count;
 //!   also the canonical [`shard::report_json`] / [`shard::report_digest`]
 //!   renderings that invariance proofs compare.
 

@@ -55,8 +55,10 @@ pub struct LatencyRecorder {
 
 impl LatencyRecorder {
     /// Recorder with buckets of `bucket_secs` covering `[0, horizon)`.
+    /// A zero horizon gives a recorder with no buckets, which ignores
+    /// every sample and reports an empty run.
     pub fn new(bucket_secs: f64, horizon_secs: f64) -> Self {
-        assert!(bucket_secs > 0.0 && horizon_secs > 0.0);
+        assert!(bucket_secs > 0.0 && horizon_secs >= 0.0);
         let n = (horizon_secs / bucket_secs).ceil() as usize;
         LatencyRecorder {
             bucket_secs,
@@ -230,6 +232,18 @@ mod tests {
         ] {
             assert!(v.is_nan(), "empty bucket stats must be NaN");
         }
+    }
+
+    #[test]
+    fn zero_horizon_has_no_buckets() {
+        let mut r = LatencyRecorder::new(60.0, 0.0);
+        r.record(0.0, 0.1);
+        r.record_drop(0.0);
+        assert_eq!(r.buckets(), 0);
+        assert_eq!(r.totals(), (0, 0));
+        assert_eq!(r.drop_fraction(), 0.0);
+        assert!(r.overall_percentile(99.0).is_nan());
+        assert!(r.all_stats().is_empty());
     }
 
     /// Memory stays flat as samples pour in (the point of the

@@ -37,12 +37,17 @@
 //!   [`CounterHandle`]s resolved once per run instead of string-keyed
 //!   registry lookups per event.
 //!
+//! Every served request's latency is recorded once, into the run's
+//! [`LatencyRecorder`]; with telemetry enabled, the recorder's overall
+//! histogram is published as `spotweb_request_latency_seconds` in one
+//! sink call at the end of the run.
+//!
 //! Arrivals are drawn from the counter-based, draw-order-free
 //! [`crate::rng`] generator, keyed per decision interval — which is
-//! what lets [`RunnerConfig::shards`] split one run's arrival
-//! generation and metrics fold across cores with byte-identical
-//! output at any shard count (see [`crate::shard`] for the pipeline
-//! and the invariance argument).
+//! what lets [`RunnerConfig::shards`] move one run's arrival
+//! generation onto worker threads with byte-identical output at any
+//! shard count (see [`crate::shard`] for the pipeline and the
+//! invariance argument).
 
 use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig, MonitorWindow, RouteOutcome};
 use spotweb_market::billing::{BillingLedger, BillingModel, CostMeter};
@@ -55,8 +60,7 @@ use crate::faults::{FaultKind, FaultPlan, InvariantChecker};
 use crate::metrics::LatencyRecorder;
 use crate::service::ServiceModel;
 use crate::shard::{
-    ArrivalPipeline, ArrivalSupply, DeferredObs, DirectObs, FoldWorker, InlineArrivals, ObsSink,
-    PipelineArrivals, WindowArrivals, WindowSpec,
+    ArrivalPipeline, ArrivalSupply, InlineArrivals, PipelineArrivals, WindowArrivals, WindowSpec,
 };
 
 /// Abstraction over `spotweb-core`'s policies so this crate does not
@@ -101,13 +105,13 @@ pub struct RunnerConfig {
     pub max_lifetime_secs: Option<f64>,
     /// RNG seed (arrivals and revocation sampling share sub-streams).
     pub seed: u64,
-    /// Shard count for the run's arrival generation and metrics fold.
-    /// `1` (the default) runs fully inline on the calling thread with
-    /// lazy arrival generation (no batches materialize — required for
-    /// day-scale memory). `K > 1` pre-generates per-interval arrival
-    /// batches on `min(K, nproc)` workers and folds latency metrics on
-    /// a dedicated thread; the report is byte-identical at any value
-    /// (see [`crate::shard`]).
+    /// Shard count for the run's arrival generation. `1` (the default)
+    /// runs fully inline on the calling thread with lazy arrival
+    /// generation (no batches materialize — required for day-scale
+    /// memory). `K > 1` pre-generates per-interval arrival batches on
+    /// `min(K, nproc)` workers; everything else, latency recording
+    /// included, stays on the calling thread. The report is
+    /// byte-identical at any value (see [`crate::shard`]).
     pub shards: usize,
     /// Optional fault plan (chaos testing). Compiled deterministically
     /// from `seed` at run start. Interval-scoped faults — price
@@ -213,25 +217,34 @@ pub fn run_full_stack_observed(
     // emitted through `sink` below).
     prof::scope!(names::SPAN_RUNNER_RUN);
     let horizon = config.interval_secs * config.intervals as f64;
-    let recorder = LatencyRecorder::new(config.interval_secs, horizon);
-    let latency_hist = config
-        .telemetry
-        .histogram_handle(names::REQUEST_LATENCY_SECONDS);
+    let mut recorder = LatencyRecorder::new(config.interval_secs, horizon);
+    run_recorded(policy, cloud, trace, config, on_interval, &mut recorder)
+}
+
+/// The run behind [`run_full_stack_observed`], recording into a
+/// caller-owned per-interval recorder (tests read it back to check
+/// what the run published to telemetry).
+fn run_recorded(
+    policy: &mut dyn FleetPolicy,
+    cloud: &mut CloudSim,
+    trace: &Trace,
+    config: &RunnerConfig,
+    on_interval: &mut dyn FnMut(usize, u64),
+    recorder: &mut LatencyRecorder,
+) -> RunnerReport {
     if config.shards <= 1 {
         // Inline mode: arrivals generate lazily on this thread (no
         // batch ever materializes — day-scale windows are tens of
-        // millions of arrivals) and metrics apply immediately.
+        // millions of arrivals).
         let supply = InlineArrivals {
             seed: config.seed,
             sessions: config.sessions,
         };
-        let obs = DirectObs::new(recorder, latency_hist);
-        run_loop(policy, cloud, trace, config, on_interval, supply, obs)
+        run_loop(policy, cloud, trace, config, on_interval, supply, recorder)
     } else {
         // Sharded mode: per-interval window specs are fixed up front
-        // (the same boundary rate samples the inline path takes), gen
-        // workers pre-compute arrival batches, and the fold thread
-        // applies metrics in window order.
+        // (the same boundary rate samples the inline path takes) and
+        // gen workers pre-compute arrival batches.
         let specs: Vec<WindowSpec> = (0..config.intervals)
             .map(|i| {
                 let t0 = i as f64 * config.interval_secs;
@@ -244,24 +257,23 @@ pub fn run_full_stack_observed(
             .collect();
         let pipeline = ArrivalPipeline::spawn(config.seed, config.sessions, specs, config.shards);
         let supply = PipelineArrivals::new(pipeline);
-        let obs = DeferredObs::new(FoldWorker::spawn(recorder, latency_hist));
-        run_loop(policy, cloud, trace, config, on_interval, supply, obs)
+        run_loop(policy, cloud, trace, config, on_interval, supply, recorder)
     }
 }
 
-/// The control loop, generic over the arrival supply and the metrics
-/// sink. The two instantiations — inline/direct at `shards = 1`,
-/// pipeline/deferred at `shards > 1` — execute the same counter-RNG
-/// draws, the same routing sequence, and the same metrics fold order,
-/// so their reports are byte-identical by construction.
-fn run_loop<S: ArrivalSupply, O: ObsSink>(
+/// The control loop, generic over the arrival supply. The two
+/// instantiations — inline at `shards = 1`, pipeline at `shards > 1` —
+/// execute the same counter-RNG draws, the same routing sequence, and
+/// the same recorder calls in the same order, so their reports are
+/// byte-identical by construction.
+fn run_loop<S: ArrivalSupply>(
     policy: &mut dyn FleetPolicy,
     cloud: &mut CloudSim,
     trace: &Trace,
     config: &RunnerConfig,
     on_interval: &mut dyn FnMut(usize, u64),
     mut arrivals: S,
-    mut obs: O,
+    recorder: &mut LatencyRecorder,
 ) -> RunnerReport {
     let n_markets = cloud.catalog().len();
     let sink = config.telemetry.clone();
@@ -318,12 +330,12 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
     // rate the balancer *measured*, not the generator's ground truth.
     let mut monitor = MonitorWindow::new(config.interval_secs);
     #[allow(clippy::too_many_arguments)]
-    fn drain_completions<O: ObsSink>(
+    fn drain_completions(
         upto: f64,
         completions: &mut CalendarQueue,
         lb: &mut LoadBalancer,
         last_death: &[Option<f64>],
-        obs: &mut O,
+        recorder: &mut LatencyRecorder,
         monitor: &mut MonitorWindow,
         checker: &mut InvariantChecker,
         served_counter: &CounterHandle,
@@ -338,13 +350,13 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
                 // The server died while this request was in flight (a
                 // later restore does not save it).
                 Some(d) if d < done && d >= arrived => {
-                    obs.dropped(arrived);
+                    recorder.record_drop(arrived);
                     monitor.record_dropped(arrived);
                     checker.on_dropped_in_flight();
                     killed_counter.inc();
                 }
                 _ => {
-                    obs.served(arrived, done - arrived);
+                    recorder.record(arrived, done - arrived);
                     monitor.record_served(arrived, done - arrived);
                     lb.complete(b, None);
                     checker.on_served();
@@ -696,7 +708,7 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
                         &mut completions,
                         &mut lb,
                         &last_death,
-                        &mut obs,
+                        recorder,
                         &mut monitor,
                         &mut checker,
                         &served_counter,
@@ -711,7 +723,7 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
                         }
                         RouteOutcome::Dropped => {
                             checker.on_dropped_at_admission();
-                            obs.dropped(now);
+                            recorder.record_drop(now);
                             monitor.record_dropped(now);
                         }
                     }
@@ -798,7 +810,7 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
             &mut completions,
             &mut lb,
             &last_death,
-            &mut obs,
+            recorder,
             &mut monitor,
             &mut checker,
             &served_counter,
@@ -812,7 +824,7 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
                 &mut completions,
                 &mut lb,
                 &last_death,
-                &mut obs,
+                recorder,
                 &mut monitor,
                 &mut checker,
                 &served_counter,
@@ -820,9 +832,6 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
             );
         }
         drop(prof_drain);
-        // Flush this window's buffered observations to the fold (a
-        // no-op in inline mode).
-        obs.end_window(interval);
 
         // Bill every backend that existed during any part of the
         // interval — including draining/decommissioned servers still
@@ -846,7 +855,7 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
         if sink.is_enabled() {
             prof::scope!(names::SPAN_RUNNER_ROLLUP);
             let rates = monitor.rates(t_end);
-            let stats = obs.bucket_stats(interval);
+            let stats = recorder.bucket_stats(interval);
             sink.gauge(names::FLEET_SIZE, fleet_sizes[interval] as f64);
             sink.emit_at(
                 t_end,
@@ -868,15 +877,16 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
     }
 
     checker.check_drained();
-    let recorder = obs.finish();
     let (served, dropped) = recorder.totals();
+    let overall = recorder.overall_histogram();
+    sink.merge_histogram(names::REQUEST_LATENCY_SECONDS, &overall);
     RunnerReport {
         served,
         dropped,
         drop_fraction: recorder.drop_fraction(),
-        p50: recorder.overall_percentile(50.0),
-        p90: recorder.overall_percentile(90.0),
-        p99: recorder.overall_percentile(99.0),
+        p50: overall.percentile(50.0),
+        p90: overall.percentile(90.0),
+        p99: overall.percentile(99.0),
         cost: meter.total(),
         revocations,
         migrated_sessions: lb.stats().migrations,
@@ -1097,6 +1107,70 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(4), "shards 4 must match shards 1");
         assert_eq!(serial, run(3), "shards 3 must match shards 1");
+    }
+
+    #[test]
+    fn zero_interval_run_returns_an_empty_report() {
+        let catalog = Catalog::fig4_testbed();
+        for shards in [1usize, 3] {
+            let config = RunnerConfig {
+                intervals: 0,
+                shards,
+                ..RunnerConfig::default()
+            };
+            let mut cloud = CloudSim::new(catalog.clone(), 5, 100);
+            cloud.warm_up(8);
+            let trace = flat_trace(250.0, &config);
+            let mut p = policy(&catalog);
+            let r = run_full_stack(&mut p, &mut cloud, &trace, &config);
+            assert_eq!((r.served, r.dropped), (0, 0), "shards {shards}");
+            assert_eq!(r.drop_fraction, 0.0);
+            assert!(r.p50.is_nan() && r.p90.is_nan() && r.p99.is_nan());
+            assert!(r.buckets.is_empty() && r.fleet_sizes.is_empty());
+            assert!(r.invariant_violations.is_empty());
+        }
+    }
+
+    #[test]
+    fn telemetry_latency_histogram_is_the_recorders() {
+        // The sink's latency series is published from the run's own
+        // recorder, so it must hold exactly the served requests, in
+        // exactly the recorder's buckets, at every shard count.
+        let catalog = Catalog::fig4_testbed();
+        for shards in [1usize, 4] {
+            let sink = TelemetrySink::enabled();
+            let config = RunnerConfig {
+                intervals: 4,
+                seed: 9,
+                shards,
+                telemetry: sink.clone(),
+                ..RunnerConfig::default()
+            };
+            let mut cloud = CloudSim::new(catalog.clone(), 7, 100);
+            cloud.warm_up(8);
+            let trace = flat_trace(250.0, &config);
+            let mut p = policy(&catalog);
+            let horizon = config.interval_secs * config.intervals as f64;
+            let mut recorder = LatencyRecorder::new(config.interval_secs, horizon);
+            let r = run_recorded(
+                &mut p,
+                &mut cloud,
+                &trace,
+                &config,
+                &mut |_, _| {},
+                &mut recorder,
+            );
+            let want = recorder.overall_histogram();
+            let got = sink
+                .with_metrics(|m| m.histogram(names::REQUEST_LATENCY_SECONDS).cloned())
+                .flatten()
+                .expect("latency histogram published");
+            assert!(r.served > 1000, "served {}", r.served);
+            assert_eq!(got.count(), r.served as u64, "shards {shards}");
+            assert_eq!(got.bucket_counts(), want.bucket_counts());
+            assert!((got.sum() - want.sum()).abs() <= 1e-12 * want.sum());
+            assert_eq!(got.percentile(99.0).to_bits(), r.p99.to_bits());
+        }
     }
 
     #[test]

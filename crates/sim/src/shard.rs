@@ -1,14 +1,13 @@
 //! Sharded execution for the full-stack runner.
 //!
-//! `RunnerConfig::shards > 1` splits one simulation across cores
-//! without changing a single byte of its output. The design follows
-//! from what the serial loop actually spends its time on: the arrival
-//! process (counter-RNG draws, exponential gaps) and the metrics fold
-//! (latency histograms) are both free of feedback into the control
-//! loop, while everything between them — balancer routing, service
-//! queues, policy decisions, billing — is a serial dependency chain
-//! (interval `i+1`'s policy reads interval `i`'s monitor). So the run
-//! becomes a three-stage pipeline:
+//! `RunnerConfig::shards > 1` moves one simulation's arrival
+//! generation onto worker threads without changing a single byte of
+//! its output. The arrival process (counter-RNG draws, exponential
+//! gaps) is free of feedback into the control loop, while everything
+//! downstream of it — balancer routing, service queues, latency
+//! recording, policy decisions, billing — is a serial dependency
+//! chain (interval `i+1`'s policy reads interval `i`'s monitor). So
+//! the run becomes a two-stage pipeline:
 //!
 //! 1. **Generation shards** (this module, `ArrivalPipeline`): a pool
 //!    of `min(shards, nproc, intervals)` workers pre-generates each
@@ -18,31 +17,26 @@
 //!    on windows `0..w` — any worker can produce any window, bounded
 //!    by a lookahead so memory stays O(shards × window).
 //! 2. **The simulation thread**: the unchanged control loop consumes
-//!    batches in interval order through `ArrivalSupply`. At
+//!    batches in interval order through `ArrivalSupply` and records
+//!    every latency and drop straight into its `LatencyRecorder`. At
 //!    `shards = 1` the same generator runs inline and lazily
 //!    (`InlineArrivals`) — no batch materialization, which is what
 //!    keeps day-scale runs inside the memory gate.
-//! 3. **The metrics fold** (`FoldWorker`): latency/drop recording is
-//!    buffered per window and applied by one worker in ascending
-//!    window order — the exact call sequence the serial run makes, so
-//!    float accumulation order (histogram sums are not associative)
-//!    is invariant in the shard count.
 //!
 //! Byte-identity between `--shards 1` and `--shards K` is therefore
 //! structural, not approximate: both paths execute the same draws, the
-//! same routing, and the same fold sequence. `tests/shard.rs` locks it
-//! in across all five chaos scenarios and three seeds, and
-//! [`report_json`] / [`report_digest`] are the canonical renderings
-//! the proof compares.
+//! same routing, and the same recorder calls in the same order (float
+//! accumulation is not associative, so the order is what matters).
+//! `tests/shard.rs` locks it in across all five chaos scenarios and
+//! three seeds, and [`report_json`] / [`report_digest`] are the
+//! canonical renderings the proof compares.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use spotweb_telemetry::json::{json_f64, json_string, json_u32_array};
-use spotweb_telemetry::HistogramHandle;
 
-use crate::metrics::{BucketStats, LatencyRecorder};
+use crate::metrics::BucketStats;
 use crate::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_GAP, DOMAIN_ARRIVAL_SESSION};
 use crate::runner::RunnerReport;
 
@@ -302,250 +296,6 @@ impl ArrivalSupply for PipelineArrivals {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics fold
-// ---------------------------------------------------------------------------
-
-/// One latency/drop observation, buffered per window when the fold is
-/// deferred. Only the recorder-bound effects are deferred; monitor,
-/// invariant checker, and balancer bookkeeping are control-loop state
-/// and stay inline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ObsEvent {
-    /// A request served: bucket by arrival, record `latency` seconds.
-    Served { arrived: f64, latency: f64 },
-    /// A request dropped (admission or killed in flight).
-    Dropped { arrived: f64 },
-}
-
-/// Destination for latency/drop observations. The control loop calls
-/// it identically in both modes; the implementations differ only in
-/// *when* the recorder mutation happens, never in what order.
-pub(crate) trait ObsSink {
-    /// A request was served.
-    fn served(&mut self, arrived: f64, latency: f64);
-    /// A request was dropped.
-    fn dropped(&mut self, arrived: f64);
-    /// Interval `interval`'s control work is complete; flush.
-    fn end_window(&mut self, interval: usize);
-    /// Interval stats for the telemetry rollup (synchronizes the fold
-    /// up to `interval` first when deferred).
-    fn bucket_stats(&mut self, interval: usize) -> BucketStats;
-    /// Tear down and hand back the recorder for report assembly.
-    fn finish(self) -> LatencyRecorder;
-}
-
-/// `shards = 1`: apply observations immediately, exactly as the
-/// pre-shard runner did.
-pub(crate) struct DirectObs {
-    recorder: LatencyRecorder,
-    latency_hist: HistogramHandle,
-}
-
-impl DirectObs {
-    pub(crate) fn new(recorder: LatencyRecorder, latency_hist: HistogramHandle) -> Self {
-        DirectObs {
-            recorder,
-            latency_hist,
-        }
-    }
-}
-
-impl ObsSink for DirectObs {
-    fn served(&mut self, arrived: f64, latency: f64) {
-        self.recorder.record(arrived, latency);
-        self.latency_hist.observe(latency);
-    }
-    fn dropped(&mut self, arrived: f64) {
-        self.recorder.record_drop(arrived);
-    }
-    fn end_window(&mut self, _interval: usize) {}
-    fn bucket_stats(&mut self, interval: usize) -> BucketStats {
-        self.recorder.bucket_stats(interval)
-    }
-    fn finish(self) -> LatencyRecorder {
-        self.recorder
-    }
-}
-
-struct FoldQueue {
-    batches: VecDeque<Vec<ObsEvent>>,
-    closed: bool,
-    /// Window batches the fold worker has fully applied.
-    folded: usize,
-}
-
-struct FoldShared {
-    q: Mutex<FoldQueue>,
-    /// The fold worker waits here for batches.
-    work_cv: Condvar,
-    /// The simulation thread waits here for `folded` to advance.
-    done_cv: Condvar,
-    recorder: Mutex<LatencyRecorder>,
-}
-
-/// The single fold worker: applies buffered observation batches to the
-/// recorder (and the telemetry latency histogram) strictly in window
-/// order. One worker, ascending windows ⇒ the recorder sees the exact
-/// call sequence the serial run makes, so non-associative float
-/// accumulation cannot diverge with the shard count.
-pub(crate) struct FoldWorker {
-    shared: Arc<FoldShared>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Bound on unapplied window batches before the simulation thread
-/// blocks in `submit` (the fold is cheap; this only matters if a
-/// profiler stalls the worker).
-const FOLD_MAX_PENDING: usize = 8;
-
-impl FoldWorker {
-    pub(crate) fn spawn(recorder: LatencyRecorder, latency_hist: HistogramHandle) -> Self {
-        let shared = Arc::new(FoldShared {
-            q: Mutex::new(FoldQueue {
-                batches: VecDeque::new(),
-                closed: false,
-                folded: 0,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            recorder: Mutex::new(recorder),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("shard-fold".to_string())
-            .spawn(move || loop {
-                let batch = {
-                    let mut q = worker_shared.q.lock().expect("fold lock");
-                    loop {
-                        if let Some(b) = q.batches.pop_front() {
-                            break b;
-                        }
-                        if q.closed {
-                            return;
-                        }
-                        q = worker_shared.work_cv.wait(q).expect("fold lock");
-                    }
-                };
-                {
-                    let mut rec = worker_shared.recorder.lock().expect("fold recorder lock");
-                    for ev in &batch {
-                        match *ev {
-                            ObsEvent::Served { arrived, latency } => {
-                                rec.record(arrived, latency);
-                                latency_hist.observe(latency);
-                            }
-                            ObsEvent::Dropped { arrived } => rec.record_drop(arrived),
-                        }
-                    }
-                }
-                let mut q = worker_shared.q.lock().expect("fold lock");
-                q.folded += 1;
-                worker_shared.done_cv.notify_all();
-            })
-            .expect("spawn shard-fold worker");
-        FoldWorker {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    fn submit(&self, batch: Vec<ObsEvent>) {
-        let mut q = self.shared.q.lock().expect("fold lock");
-        while q.batches.len() >= FOLD_MAX_PENDING {
-            q = self.shared.done_cv.wait(q).expect("fold lock");
-        }
-        q.batches.push_back(batch);
-        self.shared.work_cv.notify_all();
-    }
-
-    /// Block until at least `windows` batches have been applied.
-    fn sync(&self, windows: usize) {
-        let mut q = self.shared.q.lock().expect("fold lock");
-        while q.folded < windows {
-            q = self.shared.done_cv.wait(q).expect("fold lock");
-        }
-    }
-
-    fn finish(mut self) -> LatencyRecorder {
-        {
-            let mut q = self.shared.q.lock().expect("fold lock");
-            q.closed = true;
-        }
-        self.shared.work_cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        // `Drop` is a no-op now (handle taken); release self's Arc so
-        // the unwrap below holds the only reference.
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        let shared = Arc::try_unwrap(shared)
-            .ok()
-            .expect("fold worker joined; no other refs");
-        shared.recorder.into_inner().expect("fold recorder lock")
-    }
-}
-
-impl Drop for FoldWorker {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            {
-                let mut q = self.shared.q.lock().expect("fold lock");
-                q.closed = true;
-            }
-            self.shared.work_cv.notify_all();
-            let _ = h.join();
-        }
-    }
-}
-
-/// `shards > 1`: buffer observations per window, flush at window end.
-pub(crate) struct DeferredObs {
-    fold: FoldWorker,
-    buf: Vec<ObsEvent>,
-    windows_ended: usize,
-}
-
-impl DeferredObs {
-    pub(crate) fn new(fold: FoldWorker) -> Self {
-        DeferredObs {
-            fold,
-            buf: Vec::new(),
-            windows_ended: 0,
-        }
-    }
-}
-
-impl ObsSink for DeferredObs {
-    fn served(&mut self, arrived: f64, latency: f64) {
-        self.buf.push(ObsEvent::Served { arrived, latency });
-    }
-    fn dropped(&mut self, arrived: f64) {
-        self.buf.push(ObsEvent::Dropped { arrived });
-    }
-    fn end_window(&mut self, _interval: usize) {
-        self.fold.submit(std::mem::take(&mut self.buf));
-        self.windows_ended += 1;
-    }
-    fn bucket_stats(&mut self, interval: usize) -> BucketStats {
-        self.fold.sync(self.windows_ended);
-        let rec = self
-            .fold
-            .shared
-            .recorder
-            .lock()
-            .expect("fold recorder lock");
-        rec.bucket_stats(interval)
-    }
-    fn finish(mut self) -> LatencyRecorder {
-        if !self.buf.is_empty() {
-            self.fold.submit(std::mem::take(&mut self.buf));
-        }
-        self.fold.finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Canonical report rendering
 // ---------------------------------------------------------------------------
 
@@ -627,7 +377,6 @@ pub fn report_digest(r: &RunnerReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotweb_telemetry::TelemetrySink;
 
     fn specs(n: usize, interval_secs: f64, rate: f64) -> Vec<WindowSpec> {
         (0..n)
@@ -665,62 +414,6 @@ mod tests {
         let pipeline = ArrivalPipeline::spawn(7, 100, specs, 4);
         let _ = pipeline.take(0);
         drop(pipeline); // 63 windows unconsumed: abort must unblock workers
-    }
-
-    #[test]
-    fn fold_matches_direct_application() {
-        let sink = TelemetrySink::disabled();
-        let hist = sink.histogram_handle("test_latency");
-        let mut direct = LatencyRecorder::new(10.0, 40.0);
-        let fold = FoldWorker::spawn(LatencyRecorder::new(10.0, 40.0), hist.clone());
-        let mut deferred = DeferredObs::new(fold);
-        let events: Vec<(usize, ObsEvent)> = vec![
-            (
-                0,
-                ObsEvent::Served {
-                    arrived: 1.0,
-                    latency: 0.25,
-                },
-            ),
-            (0, ObsEvent::Dropped { arrived: 2.0 }),
-            (
-                1,
-                ObsEvent::Served {
-                    arrived: 12.0,
-                    latency: 0.125,
-                },
-            ),
-            (
-                3,
-                ObsEvent::Served {
-                    arrived: 31.0,
-                    latency: 0.5,
-                },
-            ),
-        ];
-        let mut window = 0usize;
-        for (w, ev) in events {
-            while window < w {
-                deferred.end_window(window);
-                window += 1;
-            }
-            match ev {
-                ObsEvent::Served { arrived, latency } => {
-                    direct.record(arrived, latency);
-                    deferred.served(arrived, latency);
-                }
-                ObsEvent::Dropped { arrived } => {
-                    direct.record_drop(arrived);
-                    deferred.dropped(arrived);
-                }
-            }
-        }
-        let folded = deferred.finish();
-        assert_eq!(folded.totals(), direct.totals());
-        assert_eq!(
-            folded.overall_percentile(50.0).to_bits(),
-            direct.overall_percentile(50.0).to_bits()
-        );
     }
 
     #[test]

@@ -184,6 +184,12 @@ impl StreamingHistogram {
         self.count
     }
 
+    /// Per-bucket sample counts, lowest bucket first. Trailing empty
+    /// buckets above the highest one touched are not stored.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0

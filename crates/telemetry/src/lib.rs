@@ -49,5 +49,5 @@ pub mod trace;
 pub use hist::StreamingHistogram;
 pub use metrics::MetricsRegistry;
 pub use records::{DecisionRecord, DrainRecord, ForecastRecord, MarketEval};
-pub use sink::{CounterHandle, HistogramHandle, Telemetry, TelemetrySink, TimingStat};
+pub use sink::{CounterHandle, Telemetry, TelemetrySink, TimingStat};
 pub use trace::{StampedEvent, TraceEvent, Tracer};

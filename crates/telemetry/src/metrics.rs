@@ -70,19 +70,13 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Install `h` as the histogram for `name`, replacing any previous
-    /// state. Used by the sink's interned fast path, whose dedicated
-    /// slot is the authoritative accumulator for the name: reads clone
-    /// the slot in wholesale rather than merging partial deltas, which
-    /// keeps the floating-point `sum` identical to sequential
-    /// recording.
-    pub fn histogram_set(&mut self, name: &str, h: StreamingHistogram) {
-        match self.histograms.get_mut(name) {
-            Some(slot) => *slot = h,
-            None => {
-                self.histograms.insert(name.to_string(), h);
-            }
-        }
+    /// Merge `h` into the named histogram (created empty). Merging
+    /// into a fresh name installs `h` unchanged, `sum` included.
+    pub fn histogram_merge(&mut self, name: &str, h: &StreamingHistogram) {
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .merge(h);
     }
 
     /// Render every metric in Prometheus text exposition format.

@@ -102,22 +102,6 @@ pub fn interned_id(name: &str) -> Option<usize> {
     INTERNED.iter().position(|n| *n == name)
 }
 
-/// Histograms eligible for the interned fast path
-/// ([`crate::sink::HistogramHandle`]): the per-request latency series
-/// the simulator observes once per served request. Each name gets a
-/// dedicated locked histogram that is the *authoritative* store for
-/// that series — string-keyed [`observe`] calls for these names route
-/// to the same slot, so the sample sequence is identical no matter
-/// which path recorded it.
-///
-/// [`observe`]: crate::sink::TelemetrySink::observe
-pub const HIST_INTERNED: &[&str] = &[REQUEST_LATENCY_SECONDS];
-
-/// Stable dense id of an interned histogram name, if it has one.
-pub fn interned_hist_id(name: &str) -> Option<usize> {
-    HIST_INTERNED.iter().position(|n| *n == name)
-}
-
 // ---------------------------------------------------------------------------
 // Profiler span names (crate::prof).
 //

@@ -47,47 +47,15 @@ pub struct Telemetry {
 }
 
 /// The store behind an enabled sink: the locked [`Telemetry`] plus a
-/// dense lock-free slot per interned counter ([`names::INTERNED`]) and
-/// a dedicated locked histogram per interned histogram name
-/// ([`names::HIST_INTERNED`]). Interned increments land in the slots
-/// without taking the store lock or allocating; every read path merges
-/// the slots back into the ordinary registry first, so rendered output
-/// never depends on which path a counter took.
-///
-/// The histogram slots use replace-on-read rather than merge-on-read:
-/// each slot is the *only* place samples for its name accumulate
-/// (string-keyed [`TelemetrySink::observe`] calls route here too), so
-/// a read clones the slot into the registry wholesale. That keeps the
-/// exported `sum` bit-identical to sequential recording — a partial
-/// merge would re-associate the floating-point additions.
+/// dense lock-free slot per interned counter ([`names::INTERNED`]).
+/// Interned increments land in the slots without taking the store
+/// lock or allocating; every read path merges the slots back into the
+/// ordinary registry first, so rendered output never depends on which
+/// path a counter took.
 #[derive(Debug)]
 struct SinkShared {
     store: Mutex<Telemetry>,
     dense: Vec<AtomicU64>,
-    hist_dense: Vec<PaddedHistSlot>,
-}
-
-/// One interned histogram slot, padded to a cache line.
-///
-/// Parallel sweep workers each own a sink, but within one run the
-/// arrival loop and the drain both hammer the same latency slot; the
-/// alignment guarantees two adjacent slots (or a slot and the `dense`
-/// counter array) can never share a line, ruling false sharing in or
-/// out of the jobs-N scaling picture by construction (ISSUE 7). The
-/// wrapper changes memory layout only: flush output is byte-identical.
-#[derive(Debug)]
-#[repr(align(64))]
-struct PaddedHistSlot(Mutex<StreamingHistogram>);
-
-impl PaddedHistSlot {
-    /// Lock the slot, timing the acquisition wait into the active
-    /// profiling span (no-op wait timer when profiling is off).
-    fn lock_timed(&self) -> std::sync::MutexGuard<'_, StreamingHistogram> {
-        let wait = crate::prof::lock_timer();
-        let guard = self.0.lock().expect("telemetry hist lock poisoned");
-        wait.done();
-        guard
-    }
 }
 
 impl SinkShared {
@@ -97,13 +65,6 @@ impl SinkShared {
             let v = slot.swap(0, Ordering::Relaxed);
             if v > 0 {
                 tel.metrics.counter_add(names::INTERNED[id], v);
-            }
-        }
-        for (id, slot) in self.hist_dense.iter().enumerate() {
-            let h = slot.lock_timed();
-            if !h.is_empty() {
-                tel.metrics
-                    .histogram_set(names::HIST_INTERNED[id], h.clone());
             }
         }
     }
@@ -144,36 +105,6 @@ impl CounterHandle {
     }
 }
 
-/// An allocation-free sample handle to one streaming histogram of one
-/// sink, resolved once via [`TelemetrySink::histogram_handle`].
-///
-/// The hot-loop replacement for [`TelemetrySink::observe`], whose
-/// per-call cost (store mutex + `String` allocation + `BTreeMap`
-/// probe) dominates the drain path at millions of served requests per
-/// second. An interned name ([`names::HIST_INTERNED`]) records into
-/// the name's dedicated slot — the authoritative store for that
-/// series — under its own uncontended lock; a non-interned name falls
-/// back to the ordinary slow path; a handle from a disabled sink is a
-/// no-op. Exports are byte-for-byte identical on every path.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle {
-    fast: Option<(Arc<SinkShared>, usize)>,
-    slow: Option<(Arc<SinkShared>, &'static str)>,
-}
-
-impl HistogramHandle {
-    /// Fold `v` into the histogram (no-op when the sink is disabled).
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        if let Some((shared, id)) = &self.fast {
-            shared.hist_dense[*id].lock_timed().record(v);
-        } else if let Some((shared, name)) = &self.slow {
-            let mut tel = shared.store.lock().expect("telemetry lock poisoned");
-            tel.metrics.observe(name, v);
-        }
-    }
-}
-
 /// Cheap cloneable handle to a shared [`Telemetry`] store; disabled
 /// (all calls no-ops) by default.
 #[derive(Clone, Default)]
@@ -211,10 +142,6 @@ impl TelemetrySink {
                     ..Telemetry::default()
                 }),
                 dense: names::INTERNED.iter().map(|_| AtomicU64::new(0)).collect(),
-                hist_dense: names::HIST_INTERNED
-                    .iter()
-                    .map(|_| PaddedHistSlot(Mutex::new(StreamingHistogram::new())))
-                    .collect(),
             })),
         }
     }
@@ -237,24 +164,6 @@ impl TelemetrySink {
                     slow: None,
                 },
                 None => CounterHandle {
-                    fast: None,
-                    slow: Some((Arc::clone(shared), name)),
-                },
-            },
-        }
-    }
-
-    /// Resolve an allocation-free sample handle for `name` (see
-    /// [`HistogramHandle`]). The name lookup happens here, once.
-    pub fn histogram_handle(&self, name: &'static str) -> HistogramHandle {
-        match &self.inner {
-            None => HistogramHandle::default(),
-            Some(shared) => match names::interned_hist_id(name) {
-                Some(id) => HistogramHandle {
-                    fast: Some((Arc::clone(shared), id)),
-                    slow: None,
-                },
-                None => HistogramHandle {
                     fast: None,
                     slow: Some((Arc::clone(shared), name)),
                 },
@@ -339,21 +248,22 @@ impl TelemetrySink {
         self.with(|tel| tel.metrics.gauge_set(name, v));
     }
 
-    /// Fold a sample into a named streaming histogram. Interned names
-    /// ([`names::HIST_INTERNED`]) record into the name's dedicated
-    /// slot — the same one [`HistogramHandle`] uses — so the sample
-    /// sequence stays in one place regardless of the call path.
+    /// Fold a sample into a named streaming histogram.
     pub fn observe(&self, name: &str, v: f64) {
-        let Some(shared) = &self.inner else { return };
-        match names::interned_hist_id(name) {
-            Some(id) => shared.hist_dense[id].lock_timed().record(v),
-            None => shared
-                .store
-                .lock()
-                .expect("telemetry lock poisoned")
-                .metrics
-                .observe(name, v),
+        self.with(|tel| tel.metrics.observe(name, v));
+    }
+
+    /// Merge a whole histogram into a named series — the same bucket
+    /// counts, count, min and max as observing each of its samples,
+    /// with `h`'s own `sum`. Simulators keep per-request latencies in
+    /// their own recorder and publish them here once per run instead
+    /// of paying a sink call per request. An empty `h` is a no-op, as
+    /// observing no samples would be.
+    pub fn merge_histogram(&self, name: &str, h: &StreamingHistogram) {
+        if h.is_empty() {
+            return;
         }
+        self.with(|tel| tel.metrics.histogram_merge(name, h));
     }
 
     /// Record a wall-clock duration for a named operation. Kept out
@@ -512,35 +422,32 @@ mod tests {
     }
 
     #[test]
-    fn histogram_handle_is_indistinguishable_from_observe() {
-        // Same samples through three paths: the interned handle, the
-        // string-keyed sink call (which routes to the same slot), and
-        // a slow-path-only sink using a non-interned name. Renders
-        // must agree bit-for-bit, including the floating-point sum.
-        let fast = TelemetrySink::enabled();
-        let slow = TelemetrySink::enabled();
-        let h = fast.histogram_handle(names::REQUEST_LATENCY_SECONDS);
+    fn merging_a_histogram_matches_observing_its_samples() {
+        // Same samples two ways: observed one by one into one sink,
+        // recorded into a histogram merged whole into another. The
+        // samples are dyadic, so every partial sum is exact and even
+        // the float `_sum` renders identically.
+        let observed = TelemetrySink::enabled();
+        let merged = TelemetrySink::enabled();
         let samples = [0.125, 0.0625, 3.5, 0.125, 0.01171875];
-        for (k, v) in samples.iter().enumerate() {
-            if k % 2 == 0 {
-                h.observe(*v);
-            } else {
-                fast.observe(names::REQUEST_LATENCY_SECONDS, *v);
-            }
-            slow.observe(names::REQUEST_LATENCY_SECONDS, *v);
+        let mut h = StreamingHistogram::new();
+        for v in samples {
+            observed.observe(names::REQUEST_LATENCY_SECONDS, v);
+            h.record(v);
         }
-        assert_eq!(fast.render_prometheus(), slow.render_prometheus());
-        // Reads are repeatable (replace-on-read, not merge-on-read).
-        assert_eq!(fast.render_prometheus(), slow.render_prometheus());
-        // The slow fallback and the disabled no-op still work.
-        let custom = fast.histogram_handle("spotweb_custom_seconds");
-        custom.observe(1.0);
-        assert!(fast
-            .with_metrics(|m| m.histogram("spotweb_custom_seconds").is_some())
-            .unwrap());
-        TelemetrySink::disabled()
-            .histogram_handle(names::REQUEST_LATENCY_SECONDS)
-            .observe(1.0);
+        merged.merge_histogram(names::REQUEST_LATENCY_SECONDS, &h);
+        assert_eq!(observed.render_prometheus(), merged.render_prometheus());
+        // A second merge accumulates like a second round of samples.
+        for v in samples {
+            observed.observe(names::REQUEST_LATENCY_SECONDS, v);
+        }
+        merged.merge_histogram(names::REQUEST_LATENCY_SECONDS, &h);
+        assert_eq!(observed.render_prometheus(), merged.render_prometheus());
+        // An empty histogram publishes nothing; a disabled sink no-ops.
+        let empty = TelemetrySink::enabled();
+        empty.merge_histogram(names::REQUEST_LATENCY_SECONDS, &StreamingHistogram::new());
+        assert_eq!(empty.render_prometheus(), "");
+        TelemetrySink::disabled().merge_histogram(names::REQUEST_LATENCY_SECONDS, &h);
     }
 
     #[test]
