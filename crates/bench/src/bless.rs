@@ -98,7 +98,7 @@ fn gen_tournament(_root: &Path) -> Result<String, String> {
     let grid = build_tournament_grid(None, None)?;
     let results = run_grid(4, grid);
     let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
-    let scenarios: Vec<String> = telem::TRACE_SCENARIOS
+    let scenarios: Vec<String> = spotweb_sim::NAMED_SCENARIOS
         .iter()
         .map(|s| s.to_string())
         .collect();

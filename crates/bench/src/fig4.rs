@@ -17,7 +17,7 @@
 use serde::Serialize;
 use spotweb_predict::metrics::{backtest, histogram, ErrorSummary};
 use spotweb_predict::{AliEldinPredictor, SpotWebPredictor};
-use spotweb_sim::scenario::FailoverScenario;
+use spotweb_sim::ChaosScenario;
 use spotweb_workload::wikipedia_like;
 
 /// Per-minute latency row for Fig. 4(a).
@@ -70,10 +70,9 @@ pub struct Fig4a {
 }
 
 fn run_one(aware: bool, seed: u64) -> Fig4aSeries {
-    let report = FailoverScenario {
-        transiency_aware: aware,
+    let report = ChaosScenario {
         seed,
-        ..FailoverScenario::default()
+        ..ChaosScenario::fig4a(aware)
     }
     .run();
     Fig4aSeries {

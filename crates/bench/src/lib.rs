@@ -22,12 +22,14 @@
 //! | [`shard`] | `figures shard` — sharded-runner byte-equality gate + `BENCH_shard.json` |
 //! | [`profile`] | `figures profile` — self-profiling span trees + `BENCH_profile.json` / `flamegraph.folded` |
 //! | [`bless`] | `figures bless` — audited golden regeneration against `tests/golden/MANIFEST.json` |
+//! | [`bridge`] | the policy → request-level simulator adapter every full-stack run uses |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod bless;
+pub mod bridge;
 pub mod discussion;
 pub mod fig3;
 pub mod fig4;

@@ -38,12 +38,14 @@
 
 use spotweb_market::{Catalog, CloudSim};
 use spotweb_sim::sweep::{digest, RunSummary};
-use spotweb_sim::{run_full_stack_observed, runner::ReactiveCheapestPolicy, RunnerConfig};
+use spotweb_sim::{
+    run_full_stack_observed, runner::ReactiveCheapestPolicy, RunnerConfig, NAMED_SCENARIOS,
+};
 use spotweb_telemetry::json::{json_f64, json_string};
 use spotweb_telemetry::TelemetrySink;
 use spotweb_workload::Trace;
 
-use crate::telem::{normalize_scenario, scenario_setup, TRACE_SCENARIOS};
+use crate::telem::{normalize_scenario, scenario_setup};
 
 /// Offered load for the per-scenario throughput entries (req/s). High
 /// enough that the arrival loop dominates the interval bookkeeping.
@@ -176,7 +178,7 @@ fn run_one_inner(
     let catalog = Catalog::fig4_testbed();
     let Some(setup) = scenario_setup(&name, catalog.len()) else {
         return Err(format!(
-            "unknown perf scenario {name:?}; known: {TRACE_SCENARIOS:?}"
+            "unknown perf scenario {name:?}; known: {NAMED_SCENARIOS:?}"
         ));
     };
     let sink = TelemetrySink::enabled();
@@ -324,8 +326,8 @@ pub fn run_command(
     // Same horizon shape as the sweep grid: four 5-minute intervals —
     // one revocation storm lands mid-run — but at PERF_RPS the arrival
     // loop processes ~2.4 M requests per entry.
-    let mut runs = Vec::with_capacity(TRACE_SCENARIOS.len());
-    for scenario in TRACE_SCENARIOS {
+    let mut runs = Vec::with_capacity(NAMED_SCENARIOS.len());
+    for scenario in NAMED_SCENARIOS {
         runs.push(run_one(scenario, seed, PERF_RPS, 300.0, 4, shards)?);
     }
     let day_scale = if full {

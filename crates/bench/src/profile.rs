@@ -193,13 +193,13 @@ pub fn sweep_phase(
 }
 
 fn check_scenario(name: &str) -> Result<(), String> {
-    if crate::telem::TRACE_SCENARIOS.contains(&name) {
+    if spotweb_sim::NAMED_SCENARIOS.contains(&name) {
         Ok(())
     } else {
         Err(format!(
             // spotweb-lint: allow(no-float-display-in-renderers) -- stderr error message, no floats involved
             "unknown profile scenario {name:?}; known: {:?}",
-            crate::telem::TRACE_SCENARIOS
+            spotweb_sim::NAMED_SCENARIOS
         ))
     }
 }

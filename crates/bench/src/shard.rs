@@ -35,12 +35,13 @@
 use spotweb_market::{Catalog, CloudSim};
 use spotweb_sim::{
     nproc, report_json, run_full_stack, runner::ReactiveCheapestPolicy, RunnerConfig,
+    NAMED_SCENARIOS,
 };
 use spotweb_telemetry::json::{json_f64, json_string};
 use spotweb_telemetry::TelemetrySink;
 use spotweb_workload::Trace;
 
-use crate::telem::{normalize_scenario, scenario_setup, TRACE_SCENARIOS};
+use crate::telem::{normalize_scenario, scenario_setup};
 
 /// Offered load for the shard entries (req/s). High enough that the
 /// arrival path — the part the shards parallelize — dominates.
@@ -109,7 +110,7 @@ pub fn run_one(scenario: &str, seed: u64, shards: usize) -> Result<(String, f64)
     let catalog = Catalog::fig4_testbed();
     let Some(setup) = scenario_setup(&name, catalog.len()) else {
         return Err(format!(
-            "unknown shard scenario {name:?}; known: {TRACE_SCENARIOS:?}"
+            "unknown shard scenario {name:?}; known: {NAMED_SCENARIOS:?}"
         ));
     };
     let interval_secs = 300.0;
@@ -147,11 +148,11 @@ pub fn run_one(scenario: &str, seed: u64, shards: usize) -> Result<(String, f64)
 pub fn run_command(seed: u64, max_shards: usize) -> Result<ShardOutput, String> {
     let ladder = shard_ladder(max_shards);
     let host_nproc = nproc();
-    let mut scenarios = Vec::with_capacity(TRACE_SCENARIOS.len());
+    let mut scenarios = Vec::with_capacity(NAMED_SCENARIOS.len());
     let mut summary_lines = String::new();
     let mut all_match = true;
     let (mut serial_total, mut max_total) = (0.0_f64, 0.0_f64);
-    for scenario in TRACE_SCENARIOS {
+    for scenario in NAMED_SCENARIOS {
         let (baseline_json, baseline_wall) = run_one(scenario, seed, 1)?;
         let digest = report_digest_of_json(&baseline_json);
         let mut runs = vec![ShardRun {

@@ -32,12 +32,13 @@ use spotweb_core::{build_policy, ForecastBundle, MpoOptimizer, SpotWebConfig, Zo
 use spotweb_linalg::Matrix;
 use spotweb_market::{Catalog, CloudSim};
 use spotweb_sim::sweep::{digest, run_sweep, RunSummary, SweepResult};
-use spotweb_sim::{run_full_stack, runner::ReactiveCheapestPolicy, RunnerConfig};
+use spotweb_sim::{run_full_stack, runner::ReactiveCheapestPolicy, RunnerConfig, NAMED_SCENARIOS};
 use spotweb_telemetry::json::{json_f64, json_string};
 use spotweb_telemetry::{names, TelemetrySink};
 use spotweb_workload::Trace;
 
-use crate::telem::{normalize_scenario, scenario_setup, CorePolicyBridge, TRACE_SCENARIOS};
+use crate::bridge::PolicyBridge;
+use crate::telem::{normalize_scenario, scenario_setup};
 
 /// Policy names the sweep grid runs.
 pub const SWEEP_POLICIES: &[&str] = &["spotweb", "reactive"];
@@ -47,9 +48,7 @@ pub const SWEEP_POLICIES: &[&str] = &["spotweb", "reactive"];
 pub struct SweepSpec {
     /// Policy name (one of [`SWEEP_POLICIES`]).
     pub policy: String,
-    /// Normalized scenario name (one of [`telem::TRACE_SCENARIOS`]).
-    ///
-    /// [`telem::TRACE_SCENARIOS`]: crate::telem::TRACE_SCENARIOS
+    /// Normalized scenario name (one of [`NAMED_SCENARIOS`]).
     pub scenario: String,
     /// Seed for this run's cloud + fault compilation.
     pub seed: u64,
@@ -62,15 +61,15 @@ pub fn build_grid(scenario: Option<&str>, seed: u64) -> Result<Vec<SweepSpec>, S
     let scenarios: Vec<String> = match scenario {
         Some(raw) => {
             let name = normalize_scenario(raw);
-            if !TRACE_SCENARIOS.contains(&name.as_str()) {
+            if !NAMED_SCENARIOS.contains(&name.as_str()) {
                 return Err(format!(
                     "unknown sweep scenario '{name}'; known: {}",
-                    TRACE_SCENARIOS.join(", ")
+                    NAMED_SCENARIOS.join(", ")
                 ));
             }
             vec![name]
         }
-        None => TRACE_SCENARIOS.iter().map(|s| s.to_string()).collect(),
+        None => NAMED_SCENARIOS.iter().map(|s| s.to_string()).collect(),
     };
     let mut grid = Vec::with_capacity(SWEEP_POLICIES.len() * scenarios.len());
     for policy in SWEEP_POLICIES {
@@ -136,7 +135,7 @@ pub fn run_one(spec: &SweepSpec) -> RunSummary {
             &sink,
         )
         .expect("grid specs are validated at construction");
-        let mut bridge = CorePolicyBridge { policy, catalog };
+        let mut bridge = PolicyBridge { policy, catalog };
         run_full_stack(&mut bridge, &mut cloud, &trace, &config)
     };
 
@@ -347,7 +346,7 @@ mod tests {
     #[test]
     fn grid_covers_policies_and_scenarios() {
         let grid = build_grid(None, 1234).unwrap();
-        assert_eq!(grid.len(), SWEEP_POLICIES.len() * TRACE_SCENARIOS.len());
+        assert_eq!(grid.len(), SWEEP_POLICIES.len() * NAMED_SCENARIOS.len());
         let one = build_grid(Some("revocation_storm"), 7).unwrap();
         assert_eq!(one.len(), SWEEP_POLICIES.len());
         assert!(one.iter().all(|s| s.scenario == "revocation-storm"));

@@ -16,23 +16,15 @@
 //! kept in a separate store and exported only via
 //! `BENCH_telemetry.json`.
 
-use spotweb_core::policy::{Policy, PolicyObservation};
 use spotweb_core::{SpotWebConfig, SpotWebPolicy};
-use spotweb_market::{estimate_correlation, Catalog, CloudSim};
-use spotweb_sim::runner::FleetPolicy;
-use spotweb_sim::{run_full_stack, FaultKind, FaultPlan, RunnerConfig, RunnerReport};
+use spotweb_market::{Catalog, CloudSim};
+use spotweb_sim::{
+    run_full_stack, FaultKind, FaultPlan, RunnerConfig, RunnerReport, NAMED_SCENARIOS,
+};
 use spotweb_telemetry::{TelemetrySink, TraceEvent};
 use spotweb_workload::Trace;
 
-/// Scenario names `figures trace` accepts (the `spotweb-sim` chaos
-/// names, replayed here against the full stack).
-pub const TRACE_SCENARIOS: &[&str] = &[
-    "revocation-storm",
-    "revocation-storm-vanilla",
-    "zero-warning",
-    "backend-flaps",
-    "slow-start-storm",
-];
+use crate::bridge::PolicyBridge;
 
 /// Result of a traced full-stack replay: the shared telemetry sink
 /// (trace + metrics + timings) plus the runner's own report.
@@ -45,42 +37,6 @@ pub struct TraceRun {
     pub sink: TelemetrySink,
     /// The runner's aggregate report.
     pub report: RunnerReport,
-}
-
-/// Adapter driving any [`spotweb_core::Policy`] from runner
-/// observations — the same glue as the root crate's `PolicyBridge`,
-/// duplicated here because `spotweb-bench` sits below the facade crate
-/// in the dependency graph. Boxed so the factory-built zoo policies
-/// and the MPO policy all ride the same bridge.
-pub(crate) struct CorePolicyBridge {
-    pub(crate) policy: Box<dyn Policy + Send>,
-    pub(crate) catalog: Catalog,
-}
-
-impl FleetPolicy for CorePolicyBridge {
-    fn decide_fleet(
-        &mut self,
-        interval: usize,
-        observed_rps: f64,
-        prices: &[f64],
-        failure_probs: &[f64],
-        failure_history: &[Vec<f64>],
-    ) -> Vec<u32> {
-        let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, 0.1)
-        } else {
-            spotweb_linalg::Matrix::identity(self.catalog.len())
-        };
-        let obs = PolicyObservation {
-            interval,
-            current_workload: observed_rps,
-            prices,
-            failure_probs,
-            covariance: &covariance,
-            oracle: None,
-        };
-        self.policy.decide(&self.catalog, &obs)
-    }
 }
 
 /// Normalize a scenario name: accept `revocation_storm` for
@@ -99,7 +55,7 @@ pub struct ScenarioSetup {
     pub transiency_aware: bool,
 }
 
-/// Compile a **normalized** scenario name (one of [`TRACE_SCENARIOS`])
+/// Compile a **normalized** scenario name (one of [`NAMED_SCENARIOS`])
 /// into its fault plan for a catalog of `markets` markets. Returns
 /// `None` for unknown names — callers produce the helpful error.
 pub fn scenario_setup(name: &str, markets: usize) -> Option<ScenarioSetup> {
@@ -160,14 +116,14 @@ pub fn scenario_setup(name: &str, markets: usize) -> Option<ScenarioSetup> {
     })
 }
 
-/// Replay `scenario` (any of [`TRACE_SCENARIOS`], underscores
+/// Replay `scenario` (any of [`NAMED_SCENARIOS`], underscores
 /// accepted) through the full stack with telemetry enabled.
 pub fn run_trace(scenario: &str, seed: u64) -> Result<TraceRun, String> {
     let name = normalize_scenario(scenario);
     let catalog = Catalog::fig4_testbed();
     let Some(setup) = scenario_setup(&name, catalog.len()) else {
         return Err(format!(
-            "unknown trace scenario {name:?}; known: {TRACE_SCENARIOS:?}"
+            "unknown trace scenario {name:?}; known: {NAMED_SCENARIOS:?}"
         ));
     };
     // Four 5-minute control intervals: long enough for the storm to
@@ -204,7 +160,7 @@ pub fn run_trace(scenario: &str, seed: u64) -> Result<TraceRun, String> {
         catalog.len(),
     )
     .with_telemetry(sink.clone());
-    let mut bridge = CorePolicyBridge {
+    let mut bridge = PolicyBridge {
         policy: Box::new(policy),
         catalog,
     };

@@ -35,10 +35,11 @@
 
 use spotweb_core::normalize_policy_name;
 use spotweb_sim::sweep::{digest, RunSummary};
+use spotweb_sim::NAMED_SCENARIOS;
 use spotweb_telemetry::json::{json_f64, json_string};
 
 use crate::sweep::{run_grid, SweepSpec};
-use crate::telem::{normalize_scenario, TRACE_SCENARIOS};
+use crate::telem::normalize_scenario;
 
 /// Every competitor the tournament ranks: the factory-built zoo
 /// (including SpotWeb itself) plus the runner's reactive baseline.
@@ -78,7 +79,7 @@ pub fn resolve_policy(name: &str) -> Result<&'static str, String> {
 
 /// Build the tournament grid: (one policy or all of
 /// [`TOURNAMENT_POLICIES`]) × (one scenario or all of
-/// [`TRACE_SCENARIOS`]) × every seed in [`TOURNAMENT_SEEDS`], in that
+/// [`NAMED_SCENARIOS`]) × every seed in [`TOURNAMENT_SEEDS`], in that
 /// nesting order. Errors helpfully on unknown names.
 pub fn build_tournament_grid(
     policy: Option<&str>,
@@ -91,15 +92,15 @@ pub fn build_tournament_grid(
     let scenarios: Vec<String> = match scenario {
         Some(raw) => {
             let name = normalize_scenario(raw);
-            if !TRACE_SCENARIOS.contains(&name.as_str()) {
+            if !NAMED_SCENARIOS.contains(&name.as_str()) {
                 return Err(format!(
                     "unknown tournament scenario '{name}'; known: {}",
-                    TRACE_SCENARIOS.join(", ")
+                    NAMED_SCENARIOS.join(", ")
                 ));
             }
             vec![name]
         }
-        None => TRACE_SCENARIOS.iter().map(|s| s.to_string()).collect(),
+        None => NAMED_SCENARIOS.iter().map(|s| s.to_string()).collect(),
     };
     let mut grid = Vec::with_capacity(policies.len() * scenarios.len() * TOURNAMENT_SEEDS.len());
     for p in &policies {
@@ -436,7 +437,7 @@ mod tests {
         let grid = build_tournament_grid(None, None).unwrap();
         assert_eq!(
             grid.len(),
-            TOURNAMENT_POLICIES.len() * TRACE_SCENARIOS.len() * TOURNAMENT_SEEDS.len()
+            TOURNAMENT_POLICIES.len() * NAMED_SCENARIOS.len() * TOURNAMENT_SEEDS.len()
         );
         // Restricting either axis restricts the product.
         let one = build_tournament_grid(Some("Index_Tracking"), Some("zero_warning")).unwrap();

@@ -10,7 +10,8 @@
 //! replays the same failure history.
 //!
 //! [`ChaosScenario`] runs a compiled plan against the request-level
-//! cluster simulation (the Fig. 4(a) event loop), while
+//! cluster simulation — the crate's one cluster event loop; the
+//! paper's Fig. 4(a) experiment is [`ChaosScenario::fig4a`] — while
 //! [`crate::runner::run_full_stack`] accepts a plan through
 //! [`crate::runner::RunnerConfig`] for interval-granular injections
 //! (price shocks need a live market). Both paths drive an
@@ -25,7 +26,6 @@ use spotweb_telemetry::{names, TelemetrySink, TraceEvent};
 use crate::engine::{Event, EventQueue};
 use crate::metrics::{BucketStats, LatencyRecorder};
 use crate::rng::{stream_id, CounterStream, DOMAIN_FAULT_COIN, DOMAIN_SCENARIO_GAP};
-use crate::scenario::ServerSpec;
 use crate::service::ServiceModel;
 
 /// One kind of injected failure.
@@ -336,6 +336,15 @@ impl InvariantChecker {
     }
 }
 
+/// One server in the initial cluster.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerSpec {
+    /// Market/pool identifier (correlated revocations key on this).
+    pub market: usize,
+    /// Serving capacity (req/s).
+    pub capacity_rps: f64,
+}
+
 /// When replacements for lost servers are provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Replacement {
@@ -347,8 +356,8 @@ pub enum Replacement {
     None,
 }
 
-/// A fault-scripted cluster scenario: the Fig. 4(a) event loop driven
-/// by a [`FaultPlan`] and audited by an [`InvariantChecker`].
+/// A fault-scripted cluster scenario: a request-level event loop
+/// driven by a [`FaultPlan`] and audited by an [`InvariantChecker`].
 #[derive(Debug, Clone)]
 pub struct ChaosScenario {
     /// Scenario label (propagated into the report / JSON).
@@ -540,6 +549,34 @@ impl ChaosScenario {
                 ..base
             },
             other => panic!("unknown chaos scenario {other:?}; known: {NAMED_SCENARIOS:?}"),
+        }
+    }
+
+    /// The paper's Fig. 4(a) testbed experiment: the default
+    /// six-server cluster at ~600 req/s loses markets 1 and 2 (four of
+    /// its six servers) to a correlated revocation three minutes in.
+    /// The transiency-aware balancer drains, migrates and reprovisions
+    /// on the warning; vanilla WRR keeps routing to the doomed servers
+    /// and reprovisions only once they die. Not one of
+    /// [`NAMED_SCENARIOS`]: `figures fig4a` renders it.
+    pub fn fig4a(aware: bool) -> ChaosScenario {
+        ChaosScenario {
+            name: "fig4a".to_string(),
+            duration_secs: 600.0,
+            transiency_aware: aware,
+            replacement: if aware {
+                Replacement::OnWarning
+            } else {
+                Replacement::OnDeath
+            },
+            plan: FaultPlan::new().at(
+                180.0,
+                FaultKind::CorrelatedRevocation {
+                    markets: vec![1, 2],
+                    warning_secs: None,
+                },
+            ),
+            ..ChaosScenario::default()
         }
     }
 
@@ -1121,6 +1158,89 @@ mod tests {
             unwarned.dropped,
             warned.dropped
         );
+    }
+
+    /// Fig. 4(a) shortened to 420 s at 400 req/s, revoked at 120 s.
+    fn quick_fig4a(aware: bool) -> ChaosScenario {
+        ChaosScenario {
+            duration_secs: 420.0,
+            arrival_rps: 400.0,
+            seed: 7,
+            plan: FaultPlan::new().at(
+                120.0,
+                FaultKind::CorrelatedRevocation {
+                    markets: vec![1, 2],
+                    warning_secs: None,
+                },
+            ),
+            ..ChaosScenario::fig4a(aware)
+        }
+    }
+
+    #[test]
+    fn fig4a_aware_recovers_vanilla_drops_and_loses_sessions() {
+        let aware = quick_fig4a(true).run();
+        let vanilla = quick_fig4a(false).run();
+        assert!(aware.invariants_ok(), "{:?}", aware.invariant_violations);
+        assert!(
+            vanilla.invariants_ok(),
+            "{:?}",
+            vanilla.invariant_violations
+        );
+        // The paper's shape: SpotWeb ~0 drops, vanilla (reprovisioning
+        // only once its servers die) drops massively after the
+        // revocation.
+        assert!(
+            aware.drop_fraction < 0.01,
+            "aware drops {}",
+            aware.drop_fraction
+        );
+        assert!(
+            vanilla.drop_fraction > 0.02,
+            "vanilla drops {}",
+            vanilla.drop_fraction
+        );
+        assert!(aware.migrated_sessions > 0);
+        assert_eq!(vanilla.migrated_sessions, 0);
+        assert!(vanilla.lost_sessions > aware.lost_sessions);
+        // After the replacements warm up, p90 returns near the
+        // pre-failure level (bucket 1 is [60, 120)).
+        let before = &aware.buckets[1];
+        let recovery = aware.buckets.last().unwrap();
+        assert!(before.count > 0 && recovery.count > 0);
+        assert!(
+            recovery.p90 < 3.0 * before.p90.max(0.05),
+            "no recovery: before {} after {}",
+            before.p90,
+            recovery.p90
+        );
+    }
+
+    #[test]
+    fn fig4a_slow_startup_triggers_admission_control() {
+        // §6.1 scenario 3: "system utilization is high, and new
+        // instances can not be started within the warning period.
+        // Load will be migrated to the other running instances, or
+        // dropped until the new instances are available." Replacements
+        // take 300 s against a 120 s warning, and the survivors
+        // (2 × 80 req/s) cannot carry 400 req/s — the admission
+        // controller must shed load without melting the survivors.
+        let r = ChaosScenario {
+            duration_secs: 600.0,
+            startup_secs: 300.0,
+            ..quick_fig4a(true)
+        }
+        .run();
+        assert!(r.invariants_ok(), "{:?}", r.invariant_violations);
+        // Some requests are necessarily dropped during the gap…
+        assert!(r.dropped > 0, "gap must force drops");
+        // …but the served ones keep bounded latency (the admission
+        // budget is 2 s of queueing).
+        assert!(r.p99 < 4.0, "p99 {} — survivors melted", r.p99);
+        // And the last minute, after the replacements warm up, is clean.
+        let last = r.buckets.last().unwrap();
+        assert_eq!(last.dropped, 0, "no drops after recovery");
+        assert!(last.p90 < 0.7, "recovered p90 {}", last.p90);
     }
 
     #[test]

@@ -16,17 +16,17 @@
 //! * [`metrics`] — per-time-bucket latency distributions (quartiles /
 //!   p90 / p99), drop and migration counters — the data behind the
 //!   Fig. 4(a) boxplot.
-//! * [`scenario`] — end-to-end scenarios driving `spotweb-lb`:
-//!   [`scenario::FailoverScenario`] reproduces the Fig. 4(a)
-//!   experiment (6-server heterogeneous cluster, ~600 req/s, induced
-//!   correlated revocation at t ≈ 3 min, reactive replacement within
-//!   the warning window) for both the transiency-aware and vanilla
-//!   balancers.
 //! * [`faults`] — the deterministic fault-injection harness:
 //!   seed-compiled [`faults::FaultPlan`]s (correlated revocations,
 //!   zero-warning kills, backend flaps, price shocks, startup/warmup
-//!   stalls), the invariant-audited [`faults::ChaosScenario`] runner,
-//!   and the named chaos scenarios the regression suite replays.
+//!   stalls), the invariant-audited [`faults::ChaosScenario`] runner
+//!   (the crate's one cluster event loop), and the scenarios it
+//!   replays: [`faults::ChaosScenario::fig4a`] reproduces the Fig. 4(a)
+//!   experiment (6-server heterogeneous cluster, ~600 req/s, induced
+//!   correlated revocation at t = 3 min, reactive replacement within
+//!   the warning window) for both balancers, and
+//!   [`faults::NAMED_SCENARIOS`] are the chaos scenarios the
+//!   regression suite replays.
 //! * [`sweep`] — the deterministic parallel sweep engine: fan a grid
 //!   of independent (policy, scenario, seed) runs across
 //!   `std::thread::scope` workers with byte-identical output at any
@@ -52,7 +52,6 @@ pub mod faults;
 pub mod metrics;
 pub mod rng;
 pub mod runner;
-pub mod scenario;
 pub mod service;
 pub mod shard;
 pub mod sweep;
@@ -61,13 +60,12 @@ pub use calendar::CalendarQueue;
 pub use engine::{Event, EventQueue};
 pub use faults::{
     ChaosReport, ChaosScenario, FaultKind, FaultPlan, FaultSpec, InvariantChecker, RandomFault,
-    Replacement, NAMED_SCENARIOS,
+    Replacement, ServerSpec, NAMED_SCENARIOS,
 };
 pub use metrics::{BucketStats, LatencyRecorder};
 pub use runner::{
     run_full_stack, run_full_stack_observed, FleetPolicy, RunnerConfig, RunnerReport,
 };
-pub use scenario::{FailoverReport, FailoverScenario};
 pub use service::ServiceModel;
 pub use shard::{nproc, report_digest, report_json};
 pub use spotweb_telemetry::{TelemetrySink, TraceEvent};

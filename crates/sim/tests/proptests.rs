@@ -5,9 +5,8 @@
 
 use proptest::prelude::*;
 use spotweb_sim::engine::{Event, EventQueue};
-use spotweb_sim::scenario::ServerSpec;
 use spotweb_sim::service::ServiceModel;
-use spotweb_sim::{ChaosScenario, FaultKind, FaultPlan};
+use spotweb_sim::{ChaosScenario, FaultKind, FaultPlan, ServerSpec};
 
 /// Decode a generated `(time, kind, knob)` triple into a fault. The
 /// knob picks targets/durations so shrinking stays meaningful.

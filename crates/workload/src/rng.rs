@@ -35,7 +35,7 @@
 //! | [`DOMAIN_ARRIVAL_GAP`] | `sim::runner` inter-arrival gaps | decision interval | arrival ordinal in window |
 //! | [`DOMAIN_ARRIVAL_SESSION`] | `sim::runner` session ids | decision interval | arrival ordinal in window |
 //! | [`DOMAIN_FAULT_COIN`] | `sim::faults` `FaultPlan::compile` | random-fault ordinal | firing-window ordinal |
-//! | [`DOMAIN_SCENARIO_GAP`] | `sim::{faults,scenario}` cluster scenarios | 0 | request ordinal |
+//! | [`DOMAIN_SCENARIO_GAP`] | `sim::faults` cluster scenarios | 0 | request ordinal |
 //! | [`DOMAIN_NOISE`] | `workload` AR(1) noise | 0 | hour |
 //! | [`DOMAIN_BUMP`] | `workload::wikipedia` news bumps | 0 | hour |
 //! | [`DOMAIN_SPIKE_OCCUR`] | `workload::spikes` occurrence coins | 0 | sample |
@@ -81,8 +81,8 @@ pub const DOMAIN_ARRIVAL_SESSION: u64 = 1;
 /// `sim::faults::FaultPlan::compile` coin tosses; index = random-fault
 /// ordinal, counter = firing-window ordinal.
 pub const DOMAIN_FAULT_COIN: u64 = 2;
-/// Cluster-scenario arrival gaps (`ChaosScenario`,
-/// `FailoverScenario`); counter = request ordinal.
+/// Cluster-scenario arrival gaps (`ChaosScenario`); counter = request
+/// ordinal.
 pub const DOMAIN_SCENARIO_GAP: u64 = 3;
 /// Workload-generator AR(1) noise; counter = hour.
 pub const DOMAIN_NOISE: u64 = 4;

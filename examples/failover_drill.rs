@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example failover_drill`
 
-use spotweb::sim::scenario::FailoverScenario;
+use spotweb::sim::ChaosScenario;
 
 fn main() {
     for aware in [true, false] {
@@ -19,11 +19,7 @@ fn main() {
         } else {
             "vanilla WRR"
         };
-        let report = FailoverScenario {
-            transiency_aware: aware,
-            ..FailoverScenario::default()
-        }
-        .run();
+        let report = ChaosScenario::fig4a(aware).run();
 
         println!("=== {label} ===");
         println!(
@@ -38,8 +34,10 @@ fn main() {
             1000.0 * report.p99
         );
         println!(
-            "  sessions migrated {:>5}   sessions lost {:>5}",
-            report.migrated_sessions, report.lost_sessions
+            "  sessions migrated {:>5}   sessions lost {:>5}   invariants ok {}",
+            report.migrated_sessions,
+            report.lost_sessions,
+            report.invariants_ok()
         );
         println!("  minute-by-minute (revocation warning fires at t = 180 s):");
         println!("    minute   served   mean    p50     p90     p99   dropped");

@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --release --example full_stack`
 
-use spotweb::bridge::PolicyBridge;
 use spotweb::core::{SpotWebConfig, SpotWebPolicy};
 use spotweb::market::{Catalog, CloudSim};
 use spotweb::sim::runner::{run_full_stack, RunnerConfig};
 use spotweb::workload::wikipedia_like;
+use spotweb_bench::bridge::PolicyBridge;
 
 fn main() {
     let catalog = Catalog::fig4_testbed();
@@ -37,7 +37,10 @@ fn main() {
         },
         catalog.len(),
     );
-    let mut bridge = PolicyBridge::new(policy, catalog);
+    let mut bridge = PolicyBridge {
+        policy: Box::new(policy),
+        catalog,
+    };
     let report = run_full_stack(&mut bridge, &mut cloud, &trace, &config);
 
     println!("6-hour full-stack run (10-minute re-optimization):");

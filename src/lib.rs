@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/LDLᵀ/QR, least squares |
+//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/QR, least squares |
 //! | [`solver`] | `spotweb-solver` | ADMM quadratic-program solver |
 //! | [`market`] | `spotweb-market` | transient-cloud market simulator (catalog, prices, revocations) |
 //! | [`workload`] | `spotweb-workload` | synthetic Wikipedia/VoD workload traces |
@@ -57,8 +57,6 @@
 //!
 //! See `examples/` for larger walkthroughs (`quickstart`,
 //! `cost_showdown`, `failover_drill`, `forecasting`, `full_stack`).
-
-pub mod bridge;
 
 pub use spotweb_core as core;
 pub use spotweb_lb as lb;

@@ -1,6 +1,7 @@
 //! End-to-end integration: market substrate → predictors → optimizer →
-//! cost evaluation, across crate boundaries through the `spotweb`
-//! facade.
+//! cost evaluation (and, through `spotweb_bench::bridge`, the
+//! request-level simulator), across crate boundaries through the
+//! `spotweb` facade.
 
 use spotweb::core::evaluate::EvalOptions;
 use spotweb::core::{
@@ -8,7 +9,9 @@ use spotweb::core::{
 };
 use spotweb::market::{estimate_correlation, Catalog, CloudSim};
 use spotweb::predict::{SeriesPredictor, SpotWebPredictor};
-use spotweb::workload::wikipedia_like;
+use spotweb::sim::runner::{run_full_stack, RunnerConfig};
+use spotweb::workload::{wikipedia_like, Trace};
+use spotweb_bench::bridge::PolicyBridge;
 
 fn options(intervals: usize, seed: u64) -> EvalOptions {
     EvalOptions {
@@ -135,4 +138,38 @@ fn lb_and_optimizer_agree_on_weights() {
     assert_eq!(per_market[0], 225);
     assert_eq!(per_market[1], 75);
     assert_eq!(per_market[2], 0);
+}
+
+#[test]
+fn spotweb_policy_drives_request_level_simulation() {
+    let catalog = Catalog::fig4_testbed();
+    let config = RunnerConfig {
+        intervals: 5,
+        seed: 4,
+        ..RunnerConfig::default()
+    };
+    let mut cloud = CloudSim::new(catalog.clone(), 6, 64);
+    cloud.warm_up(8);
+    let trace = Trace::new(config.interval_secs, vec![300.0; 7]);
+    let policy = SpotWebPolicy::new(
+        SpotWebConfig {
+            // The testbed intervals are 10 min, not hourly.
+            interval_secs: config.interval_secs,
+            ..SpotWebConfig::default()
+        },
+        catalog.len(),
+    );
+    let mut bridge = PolicyBridge {
+        policy: Box::new(policy),
+        catalog,
+    };
+    let report = run_full_stack(&mut bridge, &mut cloud, &trace, &config);
+    assert!(report.served > 10_000, "served {}", report.served);
+    assert!(
+        report.drop_fraction < 0.05,
+        "drops {}",
+        report.drop_fraction
+    );
+    assert!(report.p90 < 1.0, "p90 {}", report.p90);
+    assert!(report.cost > 0.0);
 }

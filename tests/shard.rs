@@ -20,15 +20,15 @@
 
 use proptest::prelude::*;
 
-use spotweb::bridge::PolicyBridge;
 use spotweb::core::{SpotWebConfig, SpotWebPolicy};
 use spotweb::market::{Catalog, CloudSim};
 use spotweb::sim::rng::{sample, stream_id, CounterStream, DOMAIN_ARRIVAL_GAP};
 use spotweb::sim::runner::{run_full_stack, RunnerConfig};
-use spotweb::sim::{report_digest, report_json};
+use spotweb::sim::{report_digest, report_json, NAMED_SCENARIOS};
 use spotweb::telemetry::TelemetrySink;
 use spotweb::workload::Trace;
-use spotweb_bench::telem::{scenario_setup, TRACE_SCENARIOS};
+use spotweb_bench::bridge::PolicyBridge;
+use spotweb_bench::telem::scenario_setup;
 
 /// Same seeds as `tests/golden/runner_equivalence.jsonl`: three seeds
 /// so a divergence that cancels at one RNG stream still trips.
@@ -67,7 +67,10 @@ fn full_stack_report(scenario: &str, seed: u64, shards: usize) -> spotweb::sim::
         catalog.len(),
     )
     .with_telemetry(sink.clone());
-    let mut bridge = PolicyBridge::new(policy, catalog);
+    let mut bridge = PolicyBridge {
+        policy: Box::new(policy),
+        catalog,
+    };
     run_full_stack(&mut bridge, &mut cloud, &trace, &config)
 }
 
@@ -77,7 +80,7 @@ fn full_stack_report(scenario: &str, seed: u64, shards: usize) -> spotweb::sim::
 #[test]
 fn sharded_report_is_byte_identical_for_all_scenarios_and_seeds() {
     for seed in GOLDEN_SEEDS {
-        for scenario in TRACE_SCENARIOS {
+        for scenario in NAMED_SCENARIOS {
             let serial = full_stack_report(scenario, seed, 1);
             let sharded = full_stack_report(scenario, seed, 4);
             assert_eq!(

@@ -11,8 +11,9 @@
 //!     > tests/golden/trace_revocation_storm.jsonl
 //! ```
 
+use spotweb::sim::NAMED_SCENARIOS;
 use spotweb::telemetry::TraceEvent;
-use spotweb_bench::telem::{run_trace, TRACE_SCENARIOS};
+use spotweb_bench::telem::run_trace;
 use spotweb_bench::DEFAULT_SEED;
 
 #[test]
@@ -125,7 +126,7 @@ fn trace_explains_decisions_forecasts_and_drains() {
 
 #[test]
 fn every_trace_scenario_replays_cleanly() {
-    for name in TRACE_SCENARIOS {
+    for name in NAMED_SCENARIOS {
         let traced = run_trace(name, DEFAULT_SEED).expect("trace runs");
         assert!(
             traced.report.invariant_violations.is_empty(),

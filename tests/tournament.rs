@@ -14,14 +14,15 @@
 //! `--jobs 4` passes are byte-identical, so the recorded file is
 //! jobs-count-independent by construction).
 
+use spotweb::sim::NAMED_SCENARIOS;
+use spotweb_bench::sweep::run_grid;
 use spotweb_bench::tournament::{
     build_tournament_grid, leaderboard, render_leaderboard_json, render_table, resolve_policy,
     TOURNAMENT_POLICIES, TOURNAMENT_SEEDS,
 };
-use spotweb_bench::{sweep::run_grid, telem::TRACE_SCENARIOS};
 
 fn scenarios_in_grid_order() -> Vec<String> {
-    TRACE_SCENARIOS.iter().map(|s| s.to_string()).collect()
+    NAMED_SCENARIOS.iter().map(|s| s.to_string()).collect()
 }
 
 /// The tournament leaderboard over the full grid matches the recorded
@@ -33,7 +34,7 @@ fn full_grid_leaderboard_matches_golden() {
     let grid = build_tournament_grid(None, None).expect("full grid builds");
     assert_eq!(
         grid.len(),
-        TOURNAMENT_POLICIES.len() * TRACE_SCENARIOS.len() * TOURNAMENT_SEEDS.len(),
+        TOURNAMENT_POLICIES.len() * NAMED_SCENARIOS.len() * TOURNAMENT_SEEDS.len(),
         "full cross product"
     );
     let results = run_grid(4, grid);
